@@ -18,9 +18,9 @@ stays cheap) and frozen in ``__all__``::
     ...
 
 Everything else under ``repro.*`` is implementation detail and may move
-between releases; names that *have* moved keep ``DeprecationWarning``
-shims at their old locations for one release (e.g. ``agent.sim`` →
-``agent.clock`` after the Clock/Transport split).
+between releases without a compatibility shim.  The protocol agents reach
+their environment as ``.clock`` and ``.transport`` (the Clock/Transport
+seams in :mod:`repro.transport.api`).
 
 Subpackages:
 
@@ -61,7 +61,6 @@ _EXPORTS = {
     "ScopedChannels": "repro.scoping.channels",
     # protocols
     "SharqfecConfig": "repro.core.config",
-    "FeatureFlags": "repro.core.config",
     "SharqfecProtocol": "repro.core.protocol",
     "SrmConfig": "repro.srm.config",
     "SrmProtocol": "repro.srm.protocol",
@@ -100,7 +99,7 @@ def __dir__():
 
 
 if TYPE_CHECKING:  # pragma: no cover - static analysis only
-    from repro.core.config import FeatureFlags, SharqfecConfig
+    from repro.core.config import SharqfecConfig
     from repro.core.protocol import SharqfecProtocol
     from repro.errors import ReproError, WireError
     from repro.faults.injector import FaultInjector

@@ -29,7 +29,7 @@ from repro.core.zcr import ZcrElection
 from repro.net.packet import Packet
 from repro.scoping.channels import ScopedChannels
 from repro.sim.timers import Timer
-from repro.transport.api import Clock, Transport, deprecated_alias
+from repro.transport.api import Clock, Transport
 
 
 class SharqfecEndpoint:
@@ -98,10 +98,6 @@ class SharqfecEndpoint:
             self._nack_start_index = len(self.zone_ids) - 1
         else:
             self._nack_start_index = 0
-
-    # Names from before the Clock/Transport split (PR 9); reads warn.
-    sim = deprecated_alias("sim", "clock")
-    network = deprecated_alias("network", "transport")
 
     # -------------------------------------------------------------- lifecycle
 
@@ -328,7 +324,7 @@ class SharqfecEndpoint:
             pending = state.outstanding.get(zone_id, 0)
             if pending > 0:
                 outstanding.append((group_id, pending))
-        if not outstanding or not self.config.zcr_reconcile:
+        if not outstanding:
             return
         if self.config.sender_only and not self.is_source:
             return  # nobody but the source pumps; nothing to hand off

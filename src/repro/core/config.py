@@ -16,66 +16,10 @@ SHARQFEC(ns,ni,so)        + ``sender_only=True``  (≈ ECSRM)
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field, replace
-from typing import Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Tuple
 
 from repro.errors import ConfigError
-
-
-def _env_flag(name: str, default: str, *, false_values: Tuple[str, ...]) -> bool:
-    return os.environ.get(name, default).strip().lower() not in false_values
-
-
-@dataclass
-class FeatureFlags:
-    """First-class form of the runtime feature toggles.
-
-    Each field is tri-state: ``True``/``False`` pins the feature for this
-    config object regardless of the environment; ``None`` (the default)
-    defers to the documented ``SHARQFEC_*`` environment variable, so
-    processes that configure via the environment (CI toggle matrices, the
-    README's documented knobs) keep working unchanged.
-
-    =====================  ===============================  ============
-    Field                  Environment fallback             Env default
-    =====================  ===============================  ============
-    ``compiled_forwarding``  ``SHARQFEC_COMPILED_FORWARDING``  on (``1``)
-    ``pure_fec``             ``SHARQFEC_PURE_FEC``             off (``0``)
-    ``hybrid``               ``SHARQFEC_HYBRID``               on
-    =====================  ===============================  ============
-
-    All three toggles are equivalence knobs, never behaviour knobs: either
-    setting produces byte-identical protocol runs (the differential suites
-    pin this), only speed differs.
-    """
-
-    #: Compiled per-hop delivery schedules in :class:`repro.net.network.Network`
-    #: (``False`` walks the interpreted reference path).
-    compiled_forwarding: Optional[bool] = None
-    #: Force the pure-Python reference FEC codec even when numpy imports.
-    pure_fec: Optional[bool] = None
-    #: The hybrid packet/flow fidelity engine
-    #: (:class:`repro.hybrid.protocol.HybridSharqfecProtocol`).
-    hybrid: Optional[bool] = None
-
-    def compiled_forwarding_enabled(self) -> bool:
-        """Resolve the forwarding toggle (field first, then environment)."""
-        if self.compiled_forwarding is not None:
-            return self.compiled_forwarding
-        return os.environ.get("SHARQFEC_COMPILED_FORWARDING", "1") != "0"
-
-    def pure_fec_forced(self) -> bool:
-        """Resolve the codec toggle (field first, then environment)."""
-        if self.pure_fec is not None:
-            return self.pure_fec
-        return os.environ.get("SHARQFEC_PURE_FEC", "0") == "1"
-
-    def hybrid_enabled(self) -> bool:
-        """Resolve the hybrid-engine toggle (field first, then environment)."""
-        if self.hybrid is not None:
-            return self.hybrid
-        return _env_flag("SHARQFEC_HYBRID", "on", false_values=("off", "0", "false"))
 
 
 @dataclass
@@ -131,12 +75,11 @@ class SharqfecConfig:
     zcr_takeover_margin: float = 0.002  # seconds of RTT advantage required
 
     # --- explicit ZCR elections (failure detector + election rounds) ---
-    # When True, a per-zone failure detector derives ZCR liveness from
-    # session-message silence (session PDUs are loss-exempt, so silence
-    # means crash or partition, not loss) and a silent representative
-    # triggers an explicit election round instead of waiting for the
-    # challenge watchdog's free-for-all takeover bids.
-    zcr_election: bool = True
+    # A per-zone failure detector derives ZCR liveness from session-message
+    # silence (session PDUs are loss-exempt, so silence means crash or
+    # partition, not loss) and a silent representative triggers an
+    # explicit election round instead of waiting for the challenge
+    # watchdog's free-for-all takeover bids.
     # A zone's ZCR speaks on the session channel about once per
     # session_interval; this must comfortably exceed its upper bound.
     zcr_liveness_timeout: float = 3.0
@@ -148,11 +91,6 @@ class SharqfecConfig:
     zcr_election_retry_base: float = 0.3
     # Attempts before the zone falls back to the bootstrap watchdog path.
     zcr_election_max_retries: int = 4
-    # Split-brain reconciliation on partition heal: a deposed representative
-    # broadcasts its speculative repair queues (max-merged by hearers, never
-    # summed) and forces one deterministic re-election round if it is
-    # strictly closer than the rival that deposed it.
-    zcr_reconcile: bool = True
 
     # --- repair behaviour (§4) ---
     # NACK attempts at one zone before escalating to the next-larger zone.
@@ -171,20 +109,12 @@ class SharqfecConfig:
     # retrying its current zone and escalates one level.  At the top zone
     # it keeps retrying at the capped backoff.
     giveup_fires: int = 4
-    # Receivers/senders advertise the highest group whose data transmission
-    # finished in session messages (the SHARQFEC analogue of SRM's session
-    # ``highest_seq`` tail-loss advertisement), letting a crash-restarted
-    # or late-joining peer discover groups it never heard a packet of.
-    stream_extent_gossip: bool = True
 
     # --- wire sizes for non-data PDUs (bytes) ---
     nack_size: int = 64
     session_entry_size: int = 12
     session_header_size: int = 40
     zcr_pdu_size: int = 48
-
-    # --- runtime feature toggles (equivalence knobs, not behaviour) ---
-    flags: FeatureFlags = field(default_factory=FeatureFlags)
 
     def __post_init__(self) -> None:
         if self.group_size < 1:

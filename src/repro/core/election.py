@@ -86,9 +86,6 @@ class ElectionCoordinator:
         self.clock = zcr.clock
         self.config = zcr.config
         self.transport = zcr.transport
-        # Legacy aliases from before the Clock/Transport split (PR 9).
-        self.sim = self.clock
-        self.network = self.transport
         self.channels = zcr.channels
         self.node_id = zcr.node_id
         self._rng = self.clock.rng.stream(f"zcrelect.{self.node_id}")
@@ -413,8 +410,6 @@ class ElectionCoordinator:
                     "epoch": self.session.zcr_epoch.get(zone_id, 0),
                 },
             )
-        if not self.config.zcr_reconcile:
-            return
         mine = self.zcr.my_dist_to_parent.get(zone_id)
         margin = self.config.zcr_takeover_margin
         if (

@@ -439,8 +439,6 @@ class SharqfecReceiver(SharqfecEndpoint):
         # the group's data emission truly ended, so the advertisement never
         # finalizes a peer's group prematurely.  (The sender advertises its
         # authoritative emission extent.)
-        if not self.config.stream_extent_gossip:
-            return -1
         extent = -1
         for gid, state in self.groups.items():
             if gid > extent and state.complete:
@@ -456,8 +454,6 @@ class SharqfecReceiver(SharqfecEndpoint):
         packet of a trailing group (crash, partition) would never learn
         the group exists.
         """
-        if not self.config.stream_extent_gossip:
-            return
         if not 0 <= group_id < self.config.n_groups:
             return
         if self._highest_group_seen < 0 and not self.config.late_join_recovery:

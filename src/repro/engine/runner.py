@@ -56,8 +56,7 @@ class ShardedRunSpec:
     fault_plan: Optional[FaultPlan] = None
     capture_trace: bool = False
     #: "packet" runs the reference engine; "hybrid" swaps in the
-    #: packet/flow fidelity protocol (see docs/HYBRID.md).  The hybrid
-    #: layer still honors the SHARQFEC_HYBRID env toggle at run time.
+    #: packet/flow fidelity protocol (see docs/HYBRID.md).
     fidelity: str = "packet"
 
     def validate(self) -> None:

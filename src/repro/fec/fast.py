@@ -15,6 +15,7 @@ Use it anywhere the pure-Python codec is accepted::
 
 from __future__ import annotations
 
+import os
 from typing import Dict, List, Sequence
 
 try:  # Optional dependency: the pure-Python codec covers numpy-less hosts.
@@ -22,29 +23,26 @@ try:  # Optional dependency: the pure-Python codec covers numpy-less hosts.
 except ImportError:  # pragma: no cover - exercised only without numpy
     np = None  # type: ignore[assignment]
 
-from repro.errors import CodecError
+from repro.errors import CodecError, ConfigError
 from repro.fec.codec import ErasureCodec
 from repro.fec.gf256 import GF256
 
 HAVE_NUMPY = np is not None
 
 
-def default_codec(k: int, flags=None):
+def default_codec(k: int):
     """The preferred codec for group size ``k``.
 
-    The numpy-vectorized codec when numpy is importable and the resolved
-    feature flags do not force the reference path, else the pure-Python
-    codec.  Byte-identical output either way.
-
-    ``flags`` is an optional :class:`repro.core.config.FeatureFlags`; when
-    omitted the documented ``SHARQFEC_PURE_FEC`` environment fallback
-    applies.
+    The numpy-vectorized codec when numpy is importable, else the
+    pure-Python codec; byte-identical output either way.  Setting
+    ``SHARQFEC_PURE_FEC=1`` forces the pure-Python codec (``0`` or unset
+    leaves the choice to numpy's availability); any other value is a
+    :class:`~repro.errors.ConfigError`, never a silent "off".
     """
-    if flags is None:
-        from repro.core.config import FeatureFlags
-
-        flags = FeatureFlags()
-    if HAVE_NUMPY and not flags.pure_fec_forced():
+    pure = os.environ.get("SHARQFEC_PURE_FEC", "0")
+    if pure not in ("0", "1"):
+        raise ConfigError(f"SHARQFEC_PURE_FEC must be '0' or '1', got {pure!r}")
+    if HAVE_NUMPY and pure == "0":
         return NumpyErasureCodec(k)
     return ErasureCodec(k)
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from typing import (
-    TYPE_CHECKING,
     Callable,
     Dict,
     Iterable,
@@ -28,9 +27,6 @@ from typing import (
     Set,
     Tuple,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - annotation only (avoids an import cycle)
-    from repro.core.config import FeatureFlags
 
 from repro.errors import RoutingError, ScopeError, TopologyError
 from repro.net.link import Link
@@ -52,16 +48,8 @@ class Network:
         self,
         sim: Simulator,
         reconvergence_delay: Optional[float] = DEFAULT_RECONVERGENCE_DELAY,
-        flags: Optional["FeatureFlags"] = None,
     ) -> None:
-        # Imported here: repro.core pulls in the protocol stack (which
-        # imports this module) at package-init time.
-        from repro.core.config import FeatureFlags
-
         self.sim = sim
-        #: Resolved feature toggles (explicit object wins; otherwise the
-        #: documented SHARQFEC_* environment fallbacks).
-        self.flags = flags if flags is not None else FeatureFlags()
         self.nodes: Dict[int, Node] = {}
         self._links: Dict[Tuple[int, int], Link] = {}
         self._adjacency: Dict[int, Dict[int, float]] = {}
@@ -77,17 +65,12 @@ class Network:
         self._topology_version = 0
         self._observers: List[object] = []
         # Per-method pre-resolved observer callbacks, rebuilt on attach/
-        # detach so the forwarding fast path skips getattr dispatch.
+        # detach so forwarding skips getattr dispatch.
         self._obs_send: tuple = ()
         self._obs_receive: tuple = ()
         self._obs_drop: tuple = ()
         self._loss_rng = sim.rng.stream("net.loss")
         self._loss_random = self._loss_rng.random
-        #: When True (default) multicast forwarding walks compiled per-hop
-        #: delivery schedules; False falls back to the reference per-packet
-        #: children-dict walk.  Both paths are replay-identical — the flag
-        #: exists so the equivalence tests can prove it.
-        self.compiled_forwarding = self.flags.compiled_forwarding_enabled()
         # Memoized tracer interest flags, refreshed when the tracer's
         # subscription table version changes (see _refresh_trace_flags).
         self._trace_version = -1
@@ -495,12 +478,6 @@ class Network:
             cb for cb in (getattr(o, "on_drop", None) for o in observers) if cb
         )
 
-    def _notify(self, method: str, event: PacketEvent) -> None:
-        for observer in self._observers:
-            callback = getattr(observer, method, None)
-            if callback is not None:
-                callback(event)
-
     # --------------------------------------------------------------- multicast
 
     def multicast(self, src: int, packet: Packet) -> None:
@@ -522,25 +499,14 @@ class Network:
             if self._t_stifled:
                 self.sim.tracer.emit(self.sim.now, "pkt.stifled", src, packet)
             return
-        if self.compiled_forwarding:
-            record = self._schedule_for(src, group)
-            if self._obs_send:
-                event = PacketEvent(self.sim.now, src, packet.kind, packet.size_bytes, True)
-                for callback in self._obs_send:
-                    callback(event)
-            if self._t_send:
-                self.sim.tracer.emit(self.sim.now, "pkt.send", src, packet)
-            self._forward_fast(record, packet)
-            return
-        children = self._tree_for(src, group)
-        if self._observers:
-            self._notify(
-                "on_send",
-                PacketEvent(self.sim.now, src, packet.kind, packet.size_bytes, True),
-            )
+        record = self._schedule_for(src, group)
+        if self._obs_send:
+            event = PacketEvent(self.sim.now, src, packet.kind, packet.size_bytes, True)
+            for callback in self._obs_send:
+                callback(event)
         if self._t_send:
             self.sim.tracer.emit(self.sim.now, "pkt.send", src, packet)
-        self._forward_hops(children, src, packet)
+        self._forward_fast(record, packet)
 
     def _tree_for(self, src: int, group: MulticastGroup) -> Dict[int, List[int]]:
         key = (group.group_id, src)
@@ -574,7 +540,7 @@ class Network:
         self._tree_cache[key] = (stamp, children)
         return children
 
-    # ------------------------------------------------- compiled fast path
+    # ------------------------------------------------- compiled forwarding
 
     def _schedule_for(self, src: int, group: MulticastGroup) -> tuple:
         """Compiled per-hop delivery schedule for the (group, src) tree.
@@ -585,7 +551,8 @@ class Network:
         dicts at all: links, nodes and the group are resolved once per
         topology/membership version.  Liveness (node.up) and membership
         (group.subscribers) stay dynamic, so faults and churn behave
-        exactly like the reference walk.
+        exactly like a per-packet walk of the children dict (the test
+        oracle in ``tests/forwarding_oracle.py`` pins that equivalence).
         """
         key = (group.group_id, src)
         stamp = group.version + (self._topology_version << 32)
@@ -708,61 +675,6 @@ class Network:
         if kids:
             self._forward_fast(record, packet)
 
-    # ---------------------------------------------- reference (dict walk)
-
-    def _forward_hops(self, children: Dict[int, List[int]], node: int, packet: Packet) -> None:
-        kids = children.get(node)
-        if not kids:
-            return
-        now = self.sim.now
-        for child in kids:
-            link = self._links[(node, child)]
-            if self._drops(link, packet):
-                link.record_drop()
-                if self._observers:
-                    self._notify(
-                        "on_drop",
-                        PacketEvent(now, child, packet.kind, packet.size_bytes, False),
-                    )
-                self.sim.tracer.emit(now, "pkt.drop", child, packet)
-                continue
-            arrival = link.transmit(now, packet.size_bytes)
-            if arrival is None:  # drop-tail queue overflow
-                if self._observers:
-                    self._notify(
-                        "on_drop",
-                        PacketEvent(now, child, packet.kind, packet.size_bytes, False),
-                    )
-                self.sim.tracer.emit(now, "pkt.qdrop", child, packet)
-                continue
-            if self._owned is not None and child not in self._owned:
-                self._boundary(arrival, child, packet)
-                continue
-            self.sim.at(arrival, self._arrive_multicast, packet, children, child)
-
-    def _arrive_multicast(self, packet: Packet, children: Dict[int, List[int]], node: int) -> None:
-        if not self.nodes[node].up:
-            # The packet reached a crashed node: neither delivered to local
-            # handlers nor forwarded into the subtree below.
-            if self._observers:
-                self._notify(
-                    "on_drop",
-                    PacketEvent(self.sim.now, node, packet.kind, packet.size_bytes, False),
-                )
-            self.sim.tracer.emit(self.sim.now, "pkt.nodedrop", node, packet)
-            return
-        group = self.groups.get(packet.group)
-        is_subscriber = group is not None and node in group.subscribers
-        if self._observers:
-            self._notify(
-                "on_receive",
-                PacketEvent(self.sim.now, node, packet.kind, packet.size_bytes, is_subscriber),
-            )
-        if is_subscriber:
-            self.sim.tracer.emit(self.sim.now, "pkt.recv", node, packet)
-            self.nodes[node].deliver(packet)
-        self._forward_hops(children, node, packet)
-
     # ------------------------------------------------------- remote injection
 
     def deliver_remote(self, packet: Packet, node: int) -> None:
@@ -781,11 +693,7 @@ class Network:
         if self.sim.tracer.version != self._trace_version:
             self._refresh_trace_flags()
         group = self._group(packet.group)
-        if self.compiled_forwarding:
-            self._arrive_fast(packet, self._injection_record(packet.src, group, node))
-        else:
-            children = self._tree_for(packet.src, group)
-            self._arrive_multicast(packet, children, node)
+        self._arrive_fast(packet, self._injection_record(packet.src, group, node))
 
     def _injection_record(self, src: int, group: MulticastGroup, node: int) -> tuple:
         """Compiled record for ``node`` within the (group, src) schedule.
@@ -841,50 +749,42 @@ class Network:
                 f"unicast {packet.src}->{packet.dst} crosses the shard boundary; "
                 "sharded runs carry multicast traffic only"
             )
-        if self._observers:
-            self._notify(
-                "on_send",
-                PacketEvent(self.sim.now, packet.src, packet.kind, packet.size_bytes, True),
-            )
+        if self._obs_send:
+            event = PacketEvent(self.sim.now, packet.src, packet.kind, packet.size_bytes, True)
+            for callback in self._obs_send:
+                callback(event)
         self._unicast_hop(packet, path, 0)
 
     def _unicast_hop(self, packet: UnicastPacket, path: List[int], index: int) -> None:
         if index > 0 and not self.nodes[path[index]].up:
             # Arrived at a crashed relay (or destination): the packet dies.
-            if self._observers:
-                self._notify(
-                    "on_drop",
-                    PacketEvent(self.sim.now, path[index], packet.kind, packet.size_bytes, False),
-                )
+            self._unicast_drop(path[index], packet)
             self.sim.tracer.emit(self.sim.now, "pkt.nodedrop", path[index], packet)
             return
         if index + 1 >= len(path):
-            if self._observers:
-                self._notify(
-                    "on_receive",
-                    PacketEvent(self.sim.now, packet.dst, packet.kind, packet.size_bytes, True),
-                )
+            if self._obs_receive:
+                event = PacketEvent(self.sim.now, packet.dst, packet.kind, packet.size_bytes, True)
+                for callback in self._obs_receive:
+                    callback(event)
             self.nodes[packet.dst].deliver_unicast(packet)
             return
         node, nxt = path[index], path[index + 1]
         link = self._links[(node, nxt)]
         if self._drops(link, packet):
             link.record_drop()
-            if self._observers:
-                self._notify(
-                    "on_drop",
-                    PacketEvent(self.sim.now, nxt, packet.kind, packet.size_bytes, False),
-                )
+            self._unicast_drop(nxt, packet)
             return
         arrival = link.transmit(self.sim.now, packet.size_bytes)
         if arrival is None:  # drop-tail queue overflow
-            if self._observers:
-                self._notify(
-                    "on_drop",
-                    PacketEvent(self.sim.now, nxt, packet.kind, packet.size_bytes, False),
-                )
+            self._unicast_drop(nxt, packet)
             return
         self.sim.call_at(arrival, self._unicast_hop, packet, path, index + 1)
+
+    def _unicast_drop(self, node: int, packet: UnicastPacket) -> None:
+        if self._obs_drop:
+            event = PacketEvent(self.sim.now, node, packet.kind, packet.size_bytes, False)
+            for callback in self._obs_drop:
+                callback(event)
 
     # ------------------------------------------------------------------- query
 

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import CodecError
+from repro.errors import CodecError, ConfigError
 from repro.fec.codec import ErasureCodec
-from repro.fec.fast import NumpyErasureCodec
+from repro.fec.fast import HAVE_NUMPY, NumpyErasureCodec, default_codec
 
 
 def make_data(k, width=64, seed=3):
@@ -92,3 +92,26 @@ def test_random_roundtrips_equal_reference(k, n_repairs, width, rnd):
     survivors = {i: pool[i] for i in indices[: k]}
     if len(survivors) >= k:
         assert fast.decode(survivors) == data
+
+
+# ------------------------------------------------------- codec selection
+
+
+@pytest.mark.parametrize("value", [None, "0", "1"])
+def test_default_codec_env(monkeypatch, value):
+    """``SHARQFEC_PURE_FEC=1`` forces the reference codec; unset or ``0``
+    takes the numpy codec whenever numpy imports."""
+    if value is None:
+        monkeypatch.delenv("SHARQFEC_PURE_FEC", raising=False)
+    else:
+        monkeypatch.setenv("SHARQFEC_PURE_FEC", value)
+    expected = NumpyErasureCodec if HAVE_NUMPY and value != "1" else ErasureCodec
+    assert type(default_codec(4)) is expected
+
+
+@pytest.mark.parametrize("value", ["true", "yes", "on", "off", "", " 1", "2"])
+def test_default_codec_rejects_other_env_values(monkeypatch, value):
+    """Anything but unset/``0``/``1`` is an error, never a silent "off"."""
+    monkeypatch.setenv("SHARQFEC_PURE_FEC", value)
+    with pytest.raises(ConfigError, match="SHARQFEC_PURE_FEC"):
+        default_codec(4)

@@ -164,12 +164,25 @@ def test_unsubscribe_stops_delivery(star_net):
 
 def test_unicast_delivery(line_net):
     net = line_net
+    monitor = TrafficMonitor(bin_width=0.1)
+    net.add_observer(monitor)
     got = []
     net.nodes[3].set_unicast_handler(got.append)
     net.unicast(UnicastPacket("PING", 0, 3, 100))
     net.sim.run()
     assert len(got) == 1
     assert got[0].dst == 3
+    # Attached observers see unicast send, arrival and loss.
+    assert monitor.sends == {"PING": 1}
+    assert monitor.total(["PING"], node=3) == 1
+    assert monitor.drops == 0
+    net.set_link_loss(1, 2, 1.0)
+    net.unicast(UnicastPacket("PING", 0, 3, 100))
+    net.sim.run()
+    assert len(got) == 1
+    assert monitor.sends == {"PING": 2}
+    assert monitor.drops == 1
+    assert monitor.drop_total(["PING"], node=2) == 1
 
 
 def test_unicast_unknown_destination(line_net):

@@ -18,6 +18,7 @@ from repro.sim.scheduler import Simulator
 from repro.sim.timers import Timer
 from repro.sim.trace import Tracer
 from repro.topology.figure10 import build_figure10
+from tests.forwarding_oracle import use_reference_forwarding
 
 
 # --------------------------------------------------------- queue bookkeeping
@@ -224,12 +225,11 @@ def test_tracer_wants_tracks_subscriptions_and_enabled():
 # --------------------------------------------- forwarding path equivalence
 
 
-def _flood(compiled: bool, n_packets: int = 60, seed: int = 11):
+def _flood(n_packets: int = 60, seed: int = 11):
     """Flood the Figure 10 topology and return observable outcomes."""
     sim = Simulator(seed=seed)
     fig = build_figure10(sim)
     net = fig.network
-    net.compiled_forwarding = compiled
     group = net.create_group("flood")
     delivered = []
     for node in fig.receivers:
@@ -255,27 +255,20 @@ def _flood(compiled: bool, n_packets: int = 60, seed: int = 11):
     return deliveries, recv_trace, monitor.total(["DATA"]), monitor.drops, series
 
 
-def test_compiled_forwarding_matches_reference_walk():
+def test_compiled_forwarding_matches_reference_walk(monkeypatch):
     """The compiled fast path must replay the dict-walk byte for byte.
 
     Same seed, same topology, same sends: every delivery, every traced
     arrival time, every loss draw and every per-interval bin must agree —
     the compiled schedule may only change *speed*, never outcomes.
     """
-    fast = _flood(compiled=True)
-    reference = _flood(compiled=False)
+    fast = _flood()
+    with monkeypatch.context() as patch:
+        use_reference_forwarding(patch)
+        reference = _flood()
     assert fast == reference
     assert fast[2] > 0  # the comparison is not vacuous
     assert fast[3] > 0  # losses actually occurred on the lossy links
-
-
-def test_compiled_forwarding_env_toggle(monkeypatch):
-    from repro.net.network import Network
-
-    monkeypatch.setenv("SHARQFEC_COMPILED_FORWARDING", "0")
-    assert Network(Simulator()).compiled_forwarding is False
-    monkeypatch.delenv("SHARQFEC_COMPILED_FORWARDING")
-    assert Network(Simulator()).compiled_forwarding is True
 
 
 # ------------------------------------------------------------ codec default
