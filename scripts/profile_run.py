@@ -6,6 +6,7 @@ sorted by internal time.  Use this to find the next optimization target or
 to confirm that a change moved the function it was meant to move:
 
     PYTHONPATH=src python scripts/profile_run.py traffic --top 25
+    PYTHONPATH=src python scripts/profile_run.py srm --top 25
     PYTHONPATH=src python scripts/profile_run.py fig11 --sort cumulative
 
 The profiler itself adds roughly 3-4x overhead to small hot functions, so
@@ -25,11 +26,15 @@ import sys
 PERF_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "benchmarks", "perf")
 
 
-def _run_traffic() -> None:
+def _run_traffic(protocol: str = "SHARQFEC") -> None:
     from repro.experiments.traffic_sim import clear_cache, run_traffic
 
     clear_cache()
-    run_traffic("SHARQFEC", n_packets=128, seed=1)
+    run_traffic(protocol, n_packets=128, seed=1)
+
+
+def _run_srm() -> None:
+    _run_traffic("SRM")
 
 
 def _run_fig11() -> None:
@@ -71,6 +76,7 @@ def _run_national(fidelity: str = "packet") -> None:
 
 TARGETS = {
     "traffic": (_run_traffic, "full SHARQFEC run, 128 packets, paper topology"),
+    "srm": (_run_srm, "full SRM run (full-mesh sessions), 128 packets, paper topology"),
     "fig11": (_run_fig11, "figure 11 session/RTT experiment"),
     "churn": (_run_churn, "timer-churn event-core workload"),
     "flood": (_run_flood, "forwarding-only multicast flood"),

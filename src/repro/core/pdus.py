@@ -158,6 +158,8 @@ class SessionPdu(Packet):
         "zcr_epoch",
         "entries",
         "highest_group",
+        "_by_peer",
+        "_peer_rtts",
     )
 
     def __init__(
@@ -184,6 +186,10 @@ class SessionPdu(Packet):
         # the stream-extent advertisement that lets (re)joining receivers
         # detect wholly-missed groups (SRM session highest_seq analogue).
         self.highest_group = highest_group
+        # Views derived from ``entries`` on first use and shared by every
+        # receiver of this multicast; never encoded on the wire.
+        self._by_peer: Optional[Dict[int, SessionEntry]] = None
+        self._peer_rtts: Optional[Tuple[Tuple[int, float], ...]] = None
 
     _DESCRIBE_FIELDS = (
         "zone_id",
@@ -194,6 +200,29 @@ class SessionPdu(Packet):
         "highest_group",
         "entries",
     )
+
+    def entry_for(self, peer_id: int) -> Optional[SessionEntry]:
+        """The entry about ``peer_id``, or None when it is absent.
+
+        Each receiver looks up only its own echo, so the peer index is built
+        once per PDU object and shared by all of them.  Entries are unique
+        per peer (they are built from a dict).
+        """
+        by_peer = self._by_peer
+        if by_peer is None:
+            by_peer = self._by_peer = {entry.peer_id: entry for entry in self.entries}
+        return by_peer.get(peer_id)
+
+    def peer_rtts(self) -> Tuple[Tuple[int, float], ...]:
+        """``(peer_id, rtt_estimate)`` for every entry with a known RTT."""
+        pairs = self._peer_rtts
+        if pairs is None:
+            pairs = self._peer_rtts = tuple(
+                (entry.peer_id, entry.rtt_estimate)
+                for entry in self.entries
+                if entry.rtt_estimate >= 0
+            )
+        return pairs
 
 
 class ZcrChallengePdu(Packet):

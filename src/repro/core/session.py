@@ -261,9 +261,9 @@ class SessionManager:
         if participates:
             rtt = self.rtt
             rtt.record_heard(zone_id, pdu.src, pdu.timestamp, now)
-            for entry in pdu.entries:
-                if entry.peer_id == node_id:
-                    rtt.close_echo(pdu.src, entry.peer_timestamp, entry.elapsed, now)
+            entry = pdu.entry_for(node_id)
+            if entry is not None:
+                rtt.close_echo(pdu.src, entry.peer_timestamp, entry.elapsed, now)
         # Overhear our chain ZCRs' parent-zone announcements: that is the
         # only distant state the paper's receivers retain (§5.1, Fig 5).
         # The announcement zone must sit directly above the represented zone
@@ -273,9 +273,8 @@ class SessionManager:
             and index >= 1
             and zcr_ids.get(chain[index - 1].zone_id) == pdu.src
         ):
-            for entry in pdu.entries:
-                if entry.rtt_estimate >= 0:
-                    self.rtt.set_zcr_peer_rtt(pdu.src, entry.peer_id, entry.rtt_estimate)
+            for peer, peer_rtt in pdu.peer_rtts():
+                self.rtt.set_zcr_peer_rtt(pdu.src, peer, peer_rtt)
         # Zone metadata carried by any message on one of our chain zones.
         # The advertised parent distance belongs to the *advertised* ZCR, so
         # only fold it in when the beliefs agree — and adopt the peer's

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.obs.binning import bin_index, bin_midpoint, n_bins
+from repro.obs.binning import BinCursor, bin_midpoint, n_bins
 
 
 class PacketEvent(NamedTuple):
@@ -57,6 +57,9 @@ class TrafficMonitor:
             raise ValueError("bin_width must be positive")
         self.bin_width = float(bin_width)
         self.count_forwarding = count_forwarding
+        # Every send, arrival and drop is binned; consecutive ones mostly
+        # share a bin, which the cursor answers without the arithmetic.
+        self._bin = BinCursor(self.bin_width).index
         # (kind, node) -> [ {bin_index: packet_count}, total_packets,
         # total_bytes ] — one record per key so the per-arrival hot path
         # hashes the key once instead of updating three parallel dicts.
@@ -76,8 +79,10 @@ class TrafficMonitor:
         """Record a packet's first transmission by its originator."""
         self.sends[event.kind] = self.sends.get(event.kind, 0) + 1
         key = (event.kind, event.node)
-        index = bin_index(event.time, self.bin_width)
-        bins = self._send_bins.setdefault(key, {})
+        bins = self._send_bins.get(key)
+        if bins is None:
+            bins = self._send_bins[key] = {}
+        index = self._bin(event.time)
         bins[index] = bins.get(index, 0) + 1
 
     def on_receive(self, event: PacketEvent) -> None:
@@ -89,7 +94,7 @@ class TrafficMonitor:
         if record is None:
             record = self._stats[key] = [{}, 0, 0]
         bins = record[0]
-        index = bin_index(event.time, self.bin_width)
+        index = self._bin(event.time)
         bins[index] = bins.get(index, 0) + 1
         record[1] += 1
         record[2] += event.size_bytes
@@ -102,7 +107,7 @@ class TrafficMonitor:
         if record is None:
             record = self._drop_stats[key] = [{}, 0, 0]
         bins = record[0]
-        index = bin_index(event.time, self.bin_width)
+        index = self._bin(event.time)
         bins[index] = bins.get(index, 0) + 1
         record[1] += 1
         record[2] += event.size_bytes
@@ -131,11 +136,12 @@ class TrafficMonitor:
         """
         if mask == 0:
             return
-        width = self.bin_width
         key = (kind, node)
         count = 0
         if direction == "send":
-            bins = self._send_bins.setdefault(key, {})
+            bins = self._send_bins.get(key)
+            if bins is None:
+                bins = self._send_bins[key] = {}
         else:
             if direction == "recv":
                 table = self._stats
@@ -147,11 +153,12 @@ class TrafficMonitor:
             if record is None:
                 record = table[key] = [{}, 0, 0]
             bins = record[0]
+        bin_of = self._bin
         m = mask
         while m:
             bit = m & -m
             i = bit.bit_length() - 1
-            index = bin_index(t_base + i * dt, width)
+            index = bin_of(t_base + i * dt)
             bins[index] = bins.get(index, 0) + 1
             count += 1
             m ^= bit

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.obs.binning import bin_index, n_bins
+from repro.obs.binning import BinCursor, n_bins
 
 LabelKey = Tuple[Tuple[str, object], ...]
 
@@ -65,11 +65,11 @@ class TimeHistogram:
 
     The same shape as one :class:`~repro.net.monitor.TrafficMonitor` series
     — a sparse ``{bin_index: count}`` dict over fixed-width bins — and the
-    same integer-safe binning (:func:`repro.obs.binning.bin_index`), so an
-    observation at exactly ``t = k * bin_width`` lands in bin ``k``.
+    same integer-safe binning (a :class:`repro.obs.binning.BinCursor`), so
+    an observation at exactly ``t = k * bin_width`` lands in bin ``k``.
     """
 
-    __slots__ = ("name", "labels", "bin_width", "bins", "count", "total")
+    __slots__ = ("name", "labels", "bin_width", "bins", "count", "total", "_bin")
 
     def __init__(self, name: str, labels: LabelKey, bin_width: float) -> None:
         if bin_width <= 0:
@@ -80,10 +80,11 @@ class TimeHistogram:
         self.bins: Dict[int, float] = {}
         self.count = 0
         self.total = 0.0
+        self._bin = BinCursor(self.bin_width).index
 
     def observe(self, time: float, amount: float = 1.0) -> None:
         """Record ``amount`` at virtual ``time``."""
-        index = bin_index(time, self.bin_width)
+        index = self._bin(time)
         self.bins[index] = self.bins.get(index, 0) + amount
         self.count += 1
         self.total += amount

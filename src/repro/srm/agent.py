@@ -339,9 +339,9 @@ class SrmAgent:
     def _handle_session(self, pdu: SrmSessionPdu) -> None:
         now = self.clock.now
         self.rtt.record_heard(_SESSION_ZONE, pdu.src, pdu.timestamp, now)
-        for entry in pdu.entries:
-            if entry.peer_id == self.node_id:
-                self.rtt.close_echo(pdu.src, entry.peer_timestamp, entry.elapsed, now)
+        entry = pdu.entry_for(self.node_id)
+        if entry is not None:
+            self.rtt.close_echo(pdu.src, entry.peer_timestamp, entry.elapsed, now)
         # Tail-loss detection: the peer has seen packets we have not.
         if pdu.highest_seq > self.highest_seen and not self.is_source:
             self._note_exists(pdu.highest_seq)

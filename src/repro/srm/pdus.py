@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import NamedTuple, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from repro.net.packet import Packet
 
@@ -58,7 +58,7 @@ class SrmSessionPdu(Packet):
     sequence gaps cannot reveal — standard SRM session semantics.
     """
 
-    __slots__ = ("timestamp", "highest_seq", "entries")
+    __slots__ = ("timestamp", "highest_seq", "entries", "_by_peer")
 
     def __init__(
         self,
@@ -73,5 +73,20 @@ class SrmSessionPdu(Packet):
         self.timestamp = timestamp
         self.highest_seq = highest_seq
         self.entries = entries
+        self._by_peer: Optional[Dict[int, SrmSessionEntry]] = None
 
     _DESCRIBE_FIELDS = ("timestamp", "highest_seq", "entries")
+
+    def entry_for(self, peer_id: int) -> Optional[SrmSessionEntry]:
+        """The echo record about ``peer_id``, or None when it is absent.
+
+        One multicast reaches every member, and each looks up only its own
+        entry, so the peer index is built once per PDU object (on the first
+        lookup) and shared by all receivers.  It is derived from
+        ``entries`` and never encoded by :mod:`repro.transport.wire`.
+        Entries are unique per peer (they are built from a dict).
+        """
+        by_peer = self._by_peer
+        if by_peer is None:
+            by_peer = self._by_peer = {entry.peer_id: entry for entry in self.entries}
+        return by_peer.get(peer_id)
