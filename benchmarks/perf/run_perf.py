@@ -9,10 +9,13 @@ apples-to-apples.
 
 Check mode (``--check``) reruns the kernels and compares the fresh numbers
 against the committed ``BENCH_PR3.json``: the run fails if any headline
-throughput falls below ``(1 - threshold)`` of the recorded value.  The
-default threshold is deliberately generous — CI machines are noisy and this
-gate exists to catch order-of-magnitude regressions (an accidentally
-re-enabled slow path), not 5% drift.
+throughput falls below ``(1 - threshold)`` of the recorded value, or if a
+kernel's seeded exact count (events fired, packets delivered) differs from
+the recorded one.  The throughput threshold is deliberately generous — CI
+machines are noisy and this gate exists to catch order-of-magnitude
+regressions (an accidentally re-enabled slow path), not 5% drift.  The
+counts do not depend on the machine, so they must match exactly: a change
+there means the kernels simulate, or count events, differently.
 
 Usage::
 
@@ -42,6 +45,12 @@ HEADLINE_METRICS = (
 )
 #: fig11 is gated on wall time, lower is better.
 FIG11_METRIC = ("fig11", "wall_s")
+#: (bench, metric) seeded counts the --check gate requires to be equal.
+EXACT_COUNTS = (
+    ("event_core", "events_fired"),
+    ("forwarding", "events_fired"),
+    ("forwarding", "packets_delivered"),
+)
 
 
 def _run_suite_subprocess(src_path: str, repeats: int) -> Dict[str, Dict[str, float]]:
@@ -140,10 +149,17 @@ def check(out_path: str, threshold: float, repeats: int) -> int:
           f"ceiling={ceiling:.3f} [{status}]")
     if measured > ceiling:
         failures.append(f"{bench}.{metric}")
+    for bench, metric in EXACT_COUNTS:
+        recorded = committed[bench][metric]
+        measured = fresh[bench][metric]
+        status = "ok" if measured == recorded else "MISMATCH"
+        print(f"{bench}.{metric}: recorded={recorded:.0f} measured={measured:.0f} [{status}]")
+        if measured != recorded:
+            failures.append(f"{bench}.{metric}")
     if failures:
         print(f"perf regression in: {', '.join(failures)}", file=sys.stderr)
         return 1
-    print("perf smoke: all headline metrics within threshold")
+    print("perf smoke: all headline metrics within threshold, all counts exact")
     return 0
 
 

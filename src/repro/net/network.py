@@ -575,14 +575,25 @@ class Network:
         return (node, self.nodes[node], group, kids)
 
     def _forward_fast(self, record: tuple, packet: Packet) -> None:
+        """Send ``packet`` from ``record``'s node over each child link.
+
+        Siblings that arrive at the same instant share one heap entry when
+        their separate entries would have had consecutive sequence numbers,
+        so the order in which arrivals fire is unchanged.
+        """
         kids = record[3]
         if not kids:
             return
         now = self.sim._now
         size = packet.size_bytes
         obs_drop = self._obs_drop
-        push_call = self.sim.queue.push_call
+        queue = self.sim.queue
+        push_call = queue.push_call
         arrive = self._arrive_fast
+        # The open same-instant run: the args list of the last arrival
+        # entry pushed here, its time, and the queue's next sequence number
+        # just after that push.
+        run = run_time = run_next_seq = None
         loss_random = self._loss_random
         exempt = packet.loss_exempt
         plain = self.loss_oracle is None
@@ -639,9 +650,28 @@ class Network:
                 # off for remote injection at its arrival time.
                 boundary(arrival, child_record[0], packet)
                 continue
-            push_call(arrival, arrive, (packet, child_record))
+            if arrival == run_time and queue._next_seq == run_next_seq:
+                # Same instant, and nothing (drop observer, tracer, shard
+                # boundary) took a sequence number since the run's entry was
+                # pushed: this arrival's own entry would have had the next
+                # sequence and fired right after, so it joins that entry.
+                run.append(child_record)
+                continue
+            run = [packet, child_record]
+            run_time = arrival
+            push_call(arrival, arrive, run)
+            run_next_seq = queue._next_seq
 
-    def _arrive_fast(self, packet: Packet, record: tuple) -> None:
+    def _arrive_fast(self, packet: Packet, record: tuple, *siblings: tuple) -> None:
+        if siblings:
+            # A same-instant fan-out carried by one heap entry: deliver each
+            # arrival in turn, and credit the simulator one event for each
+            # beyond the entry the dispatch loop counts.
+            self.sim._events_fired += len(siblings)
+            self._arrive_fast(packet, record)
+            for sibling in siblings:
+                self._arrive_fast(packet, sibling)
+            return
         node_id, node, group, kids = record
         sim = self.sim
         now = sim._now  # arrival fires at its scheduled time; skip the property
@@ -753,38 +783,49 @@ class Network:
             event = PacketEvent(self.sim.now, packet.src, packet.kind, packet.size_bytes, True)
             for callback in self._obs_send:
                 callback(event)
+        if self._t_send:
+            self.sim.tracer.emit(self.sim.now, "pkt.send", packet.src, packet)
         self._unicast_hop(packet, path, 0)
 
     def _unicast_hop(self, packet: UnicastPacket, path: List[int], index: int) -> None:
+        if self.sim.tracer.version != self._trace_version:
+            self._refresh_trace_flags()
         if index > 0 and not self.nodes[path[index]].up:
             # Arrived at a crashed relay (or destination): the packet dies.
-            self._unicast_drop(path[index], packet)
-            self.sim.tracer.emit(self.sim.now, "pkt.nodedrop", path[index], packet)
+            self._unicast_drop(path[index], packet, "pkt.nodedrop", self._t_nodedrop)
             return
         if index + 1 >= len(path):
             if self._obs_receive:
                 event = PacketEvent(self.sim.now, packet.dst, packet.kind, packet.size_bytes, True)
                 for callback in self._obs_receive:
                     callback(event)
+            if self._t_recv:
+                self.sim.tracer.emit(self.sim.now, "pkt.recv", packet.dst, packet)
             self.nodes[packet.dst].deliver_unicast(packet)
             return
         node, nxt = path[index], path[index + 1]
         link = self._links[(node, nxt)]
         if self._drops(link, packet):
             link.record_drop()
-            self._unicast_drop(nxt, packet)
+            self._unicast_drop(nxt, packet, "pkt.drop", self._t_drop)
             return
         arrival = link.transmit(self.sim.now, packet.size_bytes)
         if arrival is None:  # drop-tail queue overflow
-            self._unicast_drop(nxt, packet)
+            self._unicast_drop(nxt, packet, "pkt.qdrop", self._t_qdrop)
             return
         self.sim.call_at(arrival, self._unicast_hop, packet, path, index + 1)
 
-    def _unicast_drop(self, node: int, packet: UnicastPacket) -> None:
+    def _unicast_drop(
+        self, node: int, packet: UnicastPacket, category: str, traced: bool
+    ) -> None:
+        """Report a unicast loss to the drop observers and, when ``traced``
+        (the memoized flag for ``category``), to the tracer."""
         if self._obs_drop:
             event = PacketEvent(self.sim.now, node, packet.kind, packet.size_bytes, False)
             for callback in self._obs_drop:
                 callback(event)
+        if traced:
+            self.sim.tracer.emit(self.sim.now, category, node, packet)
 
     # ------------------------------------------------------------------- query
 

@@ -24,6 +24,13 @@ Contract highlights (pinned by ``tests/test_sim_contract.py``):
 * ``rng.stream(name)`` is derived from ``(seed, name)`` only — stream
   creation order never changes the draws, which is what lets a sharded
   engine hand each shard its own streams and still match a fixed seed.
+* ``events_fired`` counts every packet arrival as one event, and is exact
+  whenever it is read, also from a callback during ``run()``.  Forwarding
+  may carry a same-instant multicast fan-out (siblings whose separate
+  entries would have had consecutive sequence numbers) in one heap entry,
+  so ``pending``, ``step()`` and ``max_events`` count heap entries, and
+  ``stop()`` called inside such a fan-out lets its remaining siblings
+  deliver before ``run()`` returns.
 """
 
 from __future__ import annotations
@@ -54,12 +61,12 @@ class Engine(Protocol):
 
     @property
     def events_fired(self) -> int:
-        """Number of events executed so far."""
+        """Number of events executed so far (each packet arrival is one)."""
         ...
 
     @property
     def pending(self) -> int:
-        """Number of live events still queued."""
+        """Number of live heap entries still queued."""
         ...
 
     @property

@@ -24,8 +24,12 @@ Performance notes (the event core is the simulator's hottest loop):
   handle at all — the heap entry is ``(time, seq, callback, args)``.  The
   forwarding engine uses it for packet arrivals (the bulk of all events),
   which are never cancelled, so the per-hop Event allocation disappears.
-  Entry kinds coexist safely: tuple comparison never reaches the third
-  element because ``seq`` is globally unique.
+  One such entry may carry a whole same-instant fan-out: forwarding
+  appends a sibling to the previous entry's args list when it arrives at
+  the same time and ``_next_seq`` has not moved since that push, i.e.
+  exactly when its own entry would have fired next.  Entry kinds coexist
+  safely: tuple comparison never reaches the third element because
+  ``seq`` is globally unique.
 """
 
 from __future__ import annotations

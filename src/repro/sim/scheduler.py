@@ -39,12 +39,16 @@ class Simulator:
 
     @property
     def events_fired(self) -> int:
-        """Number of events executed so far (diagnostics / perf tests)."""
+        """Number of events executed so far (diagnostics / perf tests).
+
+        Every packet arrival counts, including each sibling of a fan-out
+        that forwarding delivered from one heap entry.
+        """
         return self._events_fired
 
     @property
     def pending(self) -> int:
-        """Number of live events still queued."""
+        """Number of live heap entries still queued."""
         return len(self._queue)
 
     @property
@@ -128,7 +132,8 @@ class Simulator:
         Args:
             until: stop once the next event would fire after this time; the
                 clock is advanced to ``until`` when the horizon is hit.
-            max_events: safety valve; raise if more events than this fire.
+            max_events: safety valve; raise once this many heap entries
+                have fired.
 
         Returns:
             The virtual time at which the run stopped.
@@ -148,24 +153,24 @@ class Simulator:
                     break
                 self._now = item[0]
                 item[-2](*item[-1])
-                fired += 1
-                if max_events is not None and fired >= max_events:
-                    self._events_fired += fired
-                    fired = 0
-                    raise SimulationError(f"exceeded max_events={max_events}")
+                # Counted live, so events_fired is exact when read mid-run.
+                self._events_fired += 1
+                if max_events is not None:
+                    fired += 1
+                    if fired >= max_events:
+                        raise SimulationError(f"exceeded max_events={max_events}")
             if until is not None and not self._stopped and self._now < until:
                 self._now = until
             return self._now
         finally:
-            self._events_fired += fired
             self._running = False
 
     def stop(self) -> None:
-        """Request that ``run()`` return after the current event."""
+        """Request that ``run()`` return after the current heap entry."""
         self._stopped = True
 
     def step(self) -> bool:
-        """Fire exactly one event.  Returns False if the queue was empty."""
+        """Fire exactly one heap entry.  Returns False if the queue was empty."""
         event = self._queue.pop()
         if event is None:
             return False

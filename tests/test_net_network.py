@@ -185,6 +185,77 @@ def test_unicast_delivery(line_net):
     assert monitor.drop_total(["PING"], node=2) == 1
 
 
+UNICAST_CATEGORIES = ("pkt.send", "pkt.recv", "pkt.drop", "pkt.qdrop", "pkt.nodedrop")
+
+
+def test_unicast_is_traced_like_multicast(line_net):
+    """Unicast emits the send, receive and loss records multicast emits,
+    so trace consumers (zone drop histograms, containment) see it too."""
+    from repro.obs.recorder import RunObserver
+
+    net = line_net
+    sim = net.sim
+    records = []
+    for category in UNICAST_CATEGORIES:
+        sim.tracer.subscribe(category, lambda rec: records.append((rec.category, rec.node)))
+    observer = RunObserver(sim, zone_of={n: 7 for n in net.nodes}).attach()
+    net.nodes[3].set_unicast_handler(lambda pkt: None)
+
+    net.unicast(UnicastPacket("PING", 0, 3, 100))
+    sim.run()
+    assert records == [("pkt.send", 0), ("pkt.recv", 3)]
+
+    records.clear()
+    net.set_link_loss(1, 2, 1.0)
+    net.unicast(UnicastPacket("PING", 0, 3, 100))
+    sim.run()
+    assert records == [("pkt.send", 0), ("pkt.drop", 2)]
+    drops = observer.registry.histogram("zone_drops", 0.1, zone=7, kind="PING")
+    assert sum(drops.bins.values()) == 1
+
+    records.clear()
+    net.set_link_loss(1, 2, 0.0)
+    net.set_node_up(2, False)  # routes still run through node 2 until reconvergence
+    net.unicast(UnicastPacket("PING", 0, 3, 100))
+    sim.run(until=sim.now + 0.1)
+    assert records == [("pkt.send", 0), ("pkt.nodedrop", 2)]
+
+
+def test_unicast_queue_overflow_is_traced(sim):
+    net = Network(sim)
+    net.add_node()
+    net.add_node()
+    net.add_link(0, 1, 1e6, 0.001, queue_limit=1)
+    records = []
+    for category in UNICAST_CATEGORIES:
+        sim.tracer.subscribe(category, lambda rec: records.append((rec.category, rec.node)))
+    net.nodes[1].set_unicast_handler(lambda pkt: None)
+    net.unicast(UnicastPacket("PING", 0, 1, 1000))
+    net.unicast(UnicastPacket("PING", 0, 1, 1000))  # the link is still busy
+    sim.run()
+    assert records == [("pkt.send", 0), ("pkt.send", 0), ("pkt.qdrop", 1), ("pkt.recv", 1)]
+
+
+def test_unicast_skips_categories_nobody_traces(line_net):
+    """Like multicast, unicast consults the memoized interest flags and
+    does not call ``emit`` for a category without listeners."""
+    net = line_net
+    sim = net.sim
+    emitted = []
+    emit = sim.tracer.emit
+    sim.tracer.emit = lambda time, category, *rest: (
+        emitted.append(category),
+        emit(time, category, *rest),
+    )
+    sim.tracer.subscribe("net.reconverge", lambda rec: None)
+    net.nodes[3].set_unicast_handler(lambda pkt: None)
+    net.unicast(UnicastPacket("PING", 0, 3, 100))
+    net.set_node_up(2, False)
+    net.unicast(UnicastPacket("PING", 0, 3, 100))
+    sim.run()
+    assert emitted == ["net.reconverge"]
+
+
 def test_unicast_unknown_destination(line_net):
     with pytest.raises(RoutingError):
         line_net.unicast(UnicastPacket("PING", 0, 42, 100))

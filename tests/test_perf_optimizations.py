@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.net.monitor import TrafficMonitor
+from repro.net.network import Network
 from repro.net.packet import Packet
 from repro.sim.events import COMPACT_MIN_DEAD, EventQueue
 from repro.sim.scheduler import Simulator
@@ -251,16 +252,24 @@ def _flood(n_packets: int = 60, seed: int = 11):
     # Packet uids come from a process-global counter; normalize to the
     # run's first uid so two runs compare by position in the stream.
     base = min((uid for _, uid in delivered), default=0)
-    deliveries = sorted((node, uid - base) for node, uid in delivered)
-    return deliveries, recv_trace, monitor.total(["DATA"]), monitor.drops, series
+    deliveries = [(node, uid - base) for node, uid in delivered]
+    return (
+        deliveries,
+        recv_trace,
+        monitor.total(["DATA"]),
+        monitor.drops,
+        series,
+        sim.events_fired,
+    )
 
 
 def test_compiled_forwarding_matches_reference_walk(monkeypatch):
     """The compiled fast path must replay the dict-walk byte for byte.
 
-    Same seed, same topology, same sends: every delivery, every traced
-    arrival time, every loss draw and every per-interval bin must agree —
-    the compiled schedule may only change *speed*, never outcomes.
+    Same seed, same topology, same sends: every delivery in delivery order,
+    every traced arrival time, every loss draw, every per-interval bin and
+    the event count must agree — the compiled schedule may only change
+    *speed*, never outcomes.
     """
     fast = _flood()
     with monkeypatch.context() as patch:
@@ -269,6 +278,113 @@ def test_compiled_forwarding_matches_reference_walk(monkeypatch):
     assert fast == reference
     assert fast[2] > 0  # the comparison is not vacuous
     assert fast[3] > 0  # losses actually occurred on the lossy links
+
+
+def _star(sim: Simulator, leaves: int, bandwidth_bps: float, latency_s: float) -> Network:
+    net = Network(sim)
+    for _ in range(leaves + 1):
+        net.add_node()
+    for leaf in range(1, leaves + 1):
+        net.add_link(0, leaf, bandwidth_bps, latency_s)
+    return net
+
+
+def _sibling_crash():
+    """Four same-instant siblings; the first one's handler crashes the
+    second and unsubscribes the third before they arrive."""
+    sim = Simulator(seed=5)
+    net = _star(sim, 4, 10e6, 0.005)
+    group = net.create_group("g")
+    order = []
+    handlers = {
+        leaf: (lambda pkt, n=leaf: order.append(("handler", n, sim.now)))
+        for leaf in (2, 3, 4)
+    }
+
+    def first(pkt) -> None:
+        order.append(("handler", 1, sim.now))
+        net.set_node_up(2, False)
+        net.unsubscribe(group.group_id, 3, handlers[3])
+
+    handlers[1] = first
+    for leaf in range(1, 5):
+        net.subscribe(group.group_id, leaf, handlers[leaf])
+    monitor = TrafficMonitor()
+    net.add_observer(monitor)
+    for category in ("pkt.recv", "pkt.nodedrop"):
+        sim.tracer.subscribe(
+            category, lambda rec: order.append((rec.category, rec.node, rec.time))
+        )
+    entries = []
+
+    def send() -> None:
+        net.multicast(0, Packet("DATA", 0, group.group_id, 1000))
+        entries.append(sim.pending)
+
+    sim.at(0.0, send)
+    sim.run()
+    outcome = (order, monitor.total(["DATA"]), monitor.drops, sim.events_fired)
+    return outcome, entries[0]
+
+
+def test_sibling_crash_and_unsubscribe_match_reference_walk(monkeypatch):
+    """A handler that crashes a sibling and unsubscribes another, at the
+    same instant, affects them exactly as with one heap entry per arrival."""
+    fast, fast_entries = _sibling_crash()
+    with monkeypatch.context() as patch:
+        use_reference_forwarding(patch)
+        reference, reference_entries = _sibling_crash()
+    assert fast == reference
+    order = fast[0]
+    # Node 2 is down when the packet reaches it; node 3 is no longer a
+    # subscriber, so it neither records a receipt nor runs a handler.
+    assert [(what, node) for what, node, _ in order] == [
+        ("pkt.recv", 1),
+        ("handler", 1),
+        ("pkt.nodedrop", 2),
+        ("pkt.recv", 4),
+        ("handler", 4),
+    ]
+    assert len({t for _, _, t in order}) == 1  # all at the same instant
+    # One send event, four arrivals, one reconvergence after the crash.
+    assert fast[3] == 6
+    # The four siblings shared one heap entry; the reference walk used four.
+    assert (fast_entries, reference_entries) == (1, 4)
+
+
+def _drop_schedules_between_siblings():
+    """Zero-delay hops; dropping the middle sibling makes a ``pkt.drop``
+    subscriber schedule a zero-delay event between the other two."""
+    sim = Simulator(seed=5)
+    net = _star(sim, 3, float("inf"), 0.0)
+    net.loss_oracle = lambda link, pkt: link.dst == 2
+    group = net.create_group("g")
+    order = []
+    for leaf in range(1, 4):
+        net.subscribe(group.group_id, leaf, lambda pkt, n=leaf: order.append(n))
+    sim.tracer.subscribe(
+        "pkt.drop", lambda rec: sim.schedule(0.0, order.append, "marker")
+    )
+    entries = []
+
+    def send() -> None:
+        net.multicast(0, Packet("DATA", 0, group.group_id, 1000))
+        entries.append(sim.pending)
+
+    sim.at(1.0, send)
+    sim.run()
+    return (order, sim.events_fired), entries[0]
+
+
+def test_sequence_used_between_siblings_splits_the_fan_out(monkeypatch):
+    """Siblings merge only when no sequence number was taken in between:
+    the event a drop subscriber schedules keeps its place between them."""
+    fast, fast_entries = _drop_schedules_between_siblings()
+    with monkeypatch.context() as patch:
+        use_reference_forwarding(patch)
+        reference, reference_entries = _drop_schedules_between_siblings()
+    assert fast == reference == ([1, "marker", 3], 4)
+    assert fast_entries == reference_entries == 3
 
 
 # ------------------------------------------------------------ codec default

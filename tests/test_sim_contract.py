@@ -3,9 +3,10 @@
 The sharded engine drives simulators only through the Engine protocol
 (:mod:`repro.sim.engine`), so the behaviors its windowed loop leans on —
 seed-stable replay after ``reset``, ``run(until=...)`` leaving the clock
-exactly at the horizon, rejection of past-time scheduling, and the
-pending/fired/cancelled life-cycle rules of ``reschedule``/``rearm`` —
-are contract, not implementation detail.  These tests keep
+exactly at the horizon, rejection of past-time scheduling, the
+pending/fired/cancelled life-cycle rules of ``reschedule``/``rearm``, and
+how a same-instant multicast fan-out carried by one heap entry is counted
+— are contract, not implementation detail.  These tests keep
 :class:`~repro.sim.scheduler.Simulator` honest about each clause.
 """
 
@@ -190,3 +191,77 @@ def test_max_events_safety_valve():
     with pytest.raises(SimulationError):
         sim.run(max_events=100)
     assert sim.events_fired == 100
+
+
+# ------------------------------------------------- same-instant fan-out
+
+
+def _fan_out(net):
+    """Subscribe the star's four leaves; one multicast from the hub then
+    reaches them all at the same instant.  Returns the group and the
+    delivery log."""
+    group = net.create_group("g")
+    delivered = []
+    for leaf in range(1, 5):
+        net.subscribe(group.group_id, leaf, lambda pkt, n=leaf: delivered.append(n))
+    return group, delivered
+
+
+def _send(net, group) -> None:
+    from repro.net.packet import Packet
+
+    net.multicast(0, Packet("DATA", 0, group.group_id, 1000))
+
+
+def test_events_fired_counts_every_arrival_of_a_fan_out(star_net):
+    sim = star_net.sim
+    group, delivered = _fan_out(star_net)
+    _send(star_net, group)
+    assert sim.pending == 1  # one heap entry carries the four siblings
+    sim.run()
+    assert delivered == [1, 2, 3, 4]
+    assert sim.events_fired == 4
+
+
+def test_events_fired_is_exact_when_read_mid_run(star_net):
+    """A callback (e.g. a progress reporter) reading events_fired during
+    run() sees every event fired so far, fan-out siblings included."""
+    sim = star_net.sim
+    group, _ = _fan_out(star_net)
+    seen = []
+    sim.call_at(0.0, _send, star_net, group)
+    sim.schedule(1.0, lambda: seen.append(sim.events_fired))
+    sim.call_at(2.0, _send, star_net, group)
+    sim.run()
+    assert seen == [5]  # one send and four arrivals
+    assert sim.events_fired == 11
+
+
+def test_step_and_max_events_count_heap_entries(star_net):
+    sim = star_net.sim
+    group, delivered = _fan_out(star_net)
+    _send(star_net, group)
+    assert sim.step() is True
+    assert delivered == [1, 2, 3, 4]
+    assert sim.events_fired == 4
+    assert sim.step() is False
+
+    _send(star_net, group)
+    sim.schedule(1.0, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.run(max_events=1)
+    assert delivered == [1, 2, 3, 4] * 2  # the whole entry fired
+    assert sim.pending == 1
+
+
+def test_stop_inside_a_fan_out_lets_the_siblings_deliver(star_net):
+    sim = star_net.sim
+    group, delivered = _fan_out(star_net)
+    star_net.nodes[1].add_handler(group.group_id, lambda pkt: sim.stop())
+    sim.schedule(1.0, lambda: delivered.append("later"))
+    _send(star_net, group)
+    sim.run()
+    assert delivered == [1, 2, 3, 4]
+    assert sim.pending == 1
+    sim.run()
+    assert delivered == [1, 2, 3, 4, "later"]
